@@ -8,11 +8,13 @@ scheduling cost for increasing statement counts and nest depths.
 import pytest
 from conftest import write_artifact
 
+from repro.deps import analysis
 from repro.deps.analysis import compute_dependences
 from repro.influence import build_influence_tree
 from repro.ir.examples import elementwise_chain, matmul, running_example
 from repro.obs import MetricsRegistry, Obs, Tracer, use_obs
 from repro.schedule import InfluencedScheduler
+from repro.sets import polyhedron
 from repro.workloads import operators
 
 
@@ -126,8 +128,17 @@ def test_bench_supervision_overhead(benchmark, supervised):
 
 
 def test_bench_dependence_analysis(benchmark):
+    """A cold analysis in every round: ``setup`` empties the process-wide
+    dependence memo and the set-emptiness memo it relies on, so no round
+    is served from an earlier one."""
     kernel = elementwise_chain(32, 4)
-    relations = benchmark.pedantic(lambda: compute_dependences(kernel),
+
+    def cold():
+        analysis._DEPENDENCES_MEMO.clear()
+        polyhedron._EMPTINESS_CACHE.clear()
+        return (kernel,), {}
+
+    relations = benchmark.pedantic(compute_dependences, setup=cold,
                                    rounds=2, iterations=1)
     assert relations
 

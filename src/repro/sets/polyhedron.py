@@ -84,15 +84,13 @@ class Polyhedron:
         index = {d: i for i, d in enumerate(self.dims)}
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for c in self.constraints:
-            row = [Fraction(0)] * len(self.dims)
-            for name, coeff in c.expr.coeffs.items():
-                row[index[name]] = coeff
+            row = {index[name]: coeff for name, coeff in c.expr.coeffs.items()}
             rhs = -c.expr.const
             if c.sense == "<=":
                 a_ub.append(row)
                 b_ub.append(rhs)
             elif c.sense == ">=":
-                a_ub.append([-x for x in row])
+                a_ub.append({j: -x for j, x in row.items()})
                 b_ub.append(-rhs)
             else:
                 a_eq.append(row)

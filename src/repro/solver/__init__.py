@@ -3,8 +3,9 @@
 This package replaces the ILP core that the paper obtains from the isl
 library.  It provides:
 
-* :mod:`repro.solver.lp` — a two-phase primal simplex over exact rationals
-  (Bland's rule, hence guaranteed termination).
+* :mod:`repro.solver.lp` — a two-phase primal simplex, exact on a
+  fraction-free integer tableau (Bland's rule, hence guaranteed
+  termination).
 * :mod:`repro.solver.ilp` — mixed-integer branch and bound on top of the LP.
 * :mod:`repro.solver.lexmin` — lexicographic (multi-objective) minimization,
   the optimization mode used by isl's scheduler and by Algorithm 1.

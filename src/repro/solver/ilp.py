@@ -9,7 +9,6 @@ termination.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,15 +28,8 @@ def _with_bounds(lp: LinearProgram, lower: list, upper: list) -> LinearProgram:
     node.  All values already are exact :class:`Fraction`s here, so the node
     LP is assembled directly.
     """
-    node = object.__new__(LinearProgram)
-    node.objective = lp.objective
-    node.a_ub = lp.a_ub
-    node.b_ub = lp.b_ub
-    node.a_eq = lp.a_eq
-    node.b_eq = lp.b_eq
-    node.lower = lower
-    node.upper = upper
-    return node
+    return LinearProgram._trusted(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq,
+                                  lp.b_eq, lower, upper)
 
 
 def _report_bb_nodes(nodes: int) -> None:
@@ -143,7 +135,9 @@ def integer_feasible(lp: LinearProgram,
     The objective of ``lp`` is ignored; feasibility is checked with a zero
     objective so branch and bound stops at the first integral point.
     """
-    zero_obj = replace(lp, objective=[Fraction(0)] * lp.n_vars)
+    zero_obj = LinearProgram._trusted([Fraction(0)] * lp.n_vars, lp.a_ub,
+                                      lp.b_ub, lp.a_eq, lp.b_eq, lp.lower,
+                                      lp.upper)
     if integer_mask is None:
         integer_mask = [True] * lp.n_vars
 

@@ -9,7 +9,6 @@ that here: minimize objective 0, pin it with an equality, minimize objective
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,17 +42,21 @@ def lexicographic_minimize(lp: LinearProgram,
     for index, level in enumerate(levels):
         if len(level) != lp.n_vars:
             raise ValueError("objective level length does not match variable count")
-        current = replace(current, objective=level)
+        # Derived programs share the already-validated matrices of ``lp``
+        # (``dataclasses.replace`` would re-coerce every entry).
+        current = LinearProgram._trusted(
+            level, current.a_ub, current.b_ub, current.a_eq, current.b_eq,
+            current.lower, current.upper)
         result = solve_ilp(current, integer_mask=integer_mask,
                            max_nodes=max_nodes, incumbent_bound=bound)
         if result.status is not LPStatus.OPTIMAL:
             return result
         # Pin this level's value and move to the next one.
-        current = replace(
-            current,
-            a_eq=current.a_eq + [level],
-            b_eq=current.b_eq + [result.objective],
-        )
+        current = LinearProgram._trusted(
+            level, current.a_ub, current.b_ub,
+            current.a_eq + [{j: c for j, c in enumerate(level) if c}],
+            current.b_eq + [result.objective],
+            current.lower, current.upper)
         if index + 1 < len(levels):
             nxt = levels[index + 1]
             bound = sum((c * v for c, v in zip(nxt, result.x)), Fraction(0))

@@ -1,4 +1,4 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex in exact, fraction-free integer arithmetic.
 
 The solver accepts problems in the general form::
 
@@ -9,21 +9,31 @@ The solver accepts problems in the general form::
 
 and reduces them internally to standard form (equalities over non-negative
 variables) before running a tableau simplex with Bland's anti-cycling rule.
-All arithmetic is on :class:`fractions.Fraction`, so results are exact.
+
+Inputs and results are exact :class:`fractions.Fraction` values, but the
+tableau itself holds only Python ints, the way isl's ``isl_tab`` does: each
+row is an integer row times an implicit positive factor, and the row's
+coefficient on its basic variable is that factor (the row's common
+denominator).  Every decision the simplex makes — the sign of a reduced
+cost, the comparison of two ratios, the tie-break on the basic index — is
+invariant under positive row scaling, so the integer tableau takes exactly
+the pivots a rational tableau would; rationals are built only for the
+final primal point.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Optional, Sequence, Union
 
 from repro.linalg.rational import frac
 from repro.obs.runtime import get_obs
 from repro.solver.budget import get_budget
 
-# Shared immutable zero/one: the hot loops below allocate these constantly.
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -36,14 +46,38 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+def _sparse_row(row: Union[Sequence, Mapping], n: int) -> dict[int, Fraction]:
+    """Coerce one constraint row, dense or a ``{column: coefficient}``
+    mapping, to a validated sparse dict without zero entries."""
+    if isinstance(row, Mapping):
+        items = row.items()
+        if any(not isinstance(j, int) or not 0 <= j < n for j in row):
+            raise ValueError("constraint column out of range")
+    else:
+        if len(row) != n:
+            raise ValueError("constraint row length does not match objective")
+        items = enumerate(row)
+    out = {}
+    for j, a in items:
+        a = frac(a)
+        if a:
+            out[j] = a
+    return out
+
+
 @dataclass
 class LinearProgram:
-    """A minimization LP in general (inequality/equality/bounds) form."""
+    """A minimization LP in general (inequality/equality/bounds) form.
+
+    Constraint rows may be given dense or as ``{column: coefficient}``
+    mappings; they are stored sparse (zero entries absent), which is the
+    form the standardizer consumes.
+    """
 
     objective: list[Fraction]
-    a_ub: list[list[Fraction]] = field(default_factory=list)
+    a_ub: list[dict[int, Fraction]] = field(default_factory=list)
     b_ub: list[Fraction] = field(default_factory=list)
-    a_eq: list[list[Fraction]] = field(default_factory=list)
+    a_eq: list[dict[int, Fraction]] = field(default_factory=list)
     b_eq: list[Fraction] = field(default_factory=list)
     lower: list[Optional[Fraction]] = field(default_factory=list)
     upper: list[Optional[Fraction]] = field(default_factory=list)
@@ -51,9 +85,9 @@ class LinearProgram:
     def __post_init__(self):
         n = len(self.objective)
         self.objective = [frac(x) for x in self.objective]
-        self.a_ub = [[frac(x) for x in row] for row in self.a_ub]
+        self.a_ub = [_sparse_row(row, n) for row in self.a_ub]
         self.b_ub = [frac(x) for x in self.b_ub]
-        self.a_eq = [[frac(x) for x in row] for row in self.a_eq]
+        self.a_eq = [_sparse_row(row, n) for row in self.a_eq]
         self.b_eq = [frac(x) for x in self.b_eq]
         if not self.lower:
             self.lower = [Fraction(0)] * n
@@ -61,9 +95,6 @@ class LinearProgram:
             self.upper = [None] * n
         self.lower = [None if lo is None else frac(lo) for lo in self.lower]
         self.upper = [None if hi is None else frac(hi) for hi in self.upper]
-        for row in self.a_ub + self.a_eq:
-            if len(row) != n:
-                raise ValueError("constraint row length does not match objective")
         if len(self.b_ub) != len(self.a_ub) or len(self.b_eq) != len(self.a_eq):
             raise ValueError("rhs length does not match constraint matrix")
         if len(self.lower) != n or len(self.upper) != n:
@@ -77,7 +108,8 @@ class LinearProgram:
         ``__post_init__`` coerces and validates every matrix entry — right
         for hand-written programs, pure overhead for machine-built ones.
         All entries must already be exact :class:`Fraction`s (bounds may be
-        None) with consistent shapes.
+        None), constraint rows sparse dicts without zero entries, with
+        consistent shapes.
         """
         lp = object.__new__(cls)
         lp.objective = objective
@@ -113,9 +145,9 @@ class LPResult:
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve ``lp`` exactly; see :class:`LinearProgram` for the form."""
     std = _Standardizer(lp)
-    tableau = _Tableau(std.rows, std.rhs, std.n_std_vars)
+    tableau = _Tableau(std.rows, std.rhs, std.n_std_vars, std.row_slack)
     try:
-        if not tableau.phase_one(std.row_slack):
+        if not tableau.phase_one():
             return LPResult(LPStatus.INFEASIBLE)
         status = tableau.phase_two(std.std_objective)
         if status is LPStatus.UNBOUNDED:
@@ -164,12 +196,12 @@ class _Standardizer:
                 k = self._new_var()
                 self.mapping.append(("free", j, k))
 
-        # Rows stay sparse (column -> coefficient dicts) end to end; the
-        # tableau consumes them directly, so no densify/re-sparsify round trip.
+        # Rows stay sparse (column -> coefficient dicts) end to end.
         self.rows: list[dict[int, Fraction]] = []
         self.rhs: list[Fraction] = []
         # For each row, the slack column usable as an initial basic variable
-        # (only when the row was not sign-flipped), or None.
+        # (only when the row was not sign-flipped), or None.  Every slack is
+        # a fresh column, so it appears in its own row only.
         self.row_slack: list[Optional[int]] = []
 
         for row, b in zip(lp.a_ub, lp.b_ub):
@@ -185,33 +217,36 @@ class _Standardizer:
             self._append({j: _F1, slack: _F1}, bound, slack)
 
         # Standard-form objective over the y variables.
-        obj, self.obj_shift = self._translate(lp.objective)
+        obj, self.obj_shift = self._translate(
+            {i: c for i, c in enumerate(lp.objective) if c})
         self.std_objective = [obj.get(j, _F0) for j in range(self.n_std_vars)]
 
     def _new_var(self) -> int:
         self.n_std_vars += 1
         return self.n_std_vars - 1
 
-    def _translate(self, row: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
-        """Express ``row . x`` as ``coeffs . y + shift``."""
+    def _translate(self, row: dict[int, Fraction]
+                   ) -> tuple[dict[int, Fraction], Fraction]:
+        """Express ``row . x`` (a sparse row) as ``coeffs . y + shift``.
+
+        Each standard-form column belongs to exactly one original variable,
+        so coefficients are assigned, never accumulated.
+        """
         coeffs: dict[int, Fraction] = {}
         shift = _F0
-        for i, a in enumerate(row):
-            if not a.numerator:
-                continue
-            kind = self.mapping[i]
-            if kind[0] == "shift":
-                _, j, lo = kind
-                coeffs[j] = coeffs.get(j, _F0) + a
-                shift += a * lo
-            elif kind[0] == "reflect":
-                _, j, hi = kind
-                coeffs[j] = coeffs.get(j, _F0) - a
-                shift += a * hi
+        mapping = self.mapping
+        for i, a in row.items():
+            kind, j, other = mapping[i]
+            if kind == "shift":
+                coeffs[j] = a
+                if other:
+                    shift += a * other
+            elif kind == "reflect":
+                coeffs[j] = -a
+                shift += a * other
             else:
-                _, j, k = kind
-                coeffs[j] = coeffs.get(j, _F0) + a
-                coeffs[k] = coeffs.get(k, _F0) - a
+                coeffs[j] = a
+                coeffs[other] = -a
         return coeffs, shift
 
     def _append(self, coeffs: dict[int, Fraction], rhs: Fraction,
@@ -240,189 +275,222 @@ class _Standardizer:
         return x
 
 
+def _integer_row(row: dict[int, Fraction], rhs: Fraction
+                 ) -> tuple[dict[int, int], int, int]:
+    """Scale a rational row to integers: ``(row * s, rhs * s, s)``, ``s > 0``."""
+    scale = lcm(rhs.denominator, *[a.denominator for a in row.values()])
+    if scale == 1:
+        return ({j: a.numerator for j, a in row.items()}, rhs.numerator, 1)
+    return ({j: a.numerator * (scale // a.denominator) for j, a in row.items()},
+            rhs.numerator * (scale // rhs.denominator), scale)
+
+
+def _integer_costs(cost: dict[int, Fraction]) -> dict[int, int]:
+    """``cost`` times the lcm of its denominators (a positive factor)."""
+    scale = lcm(*[c.denominator for c in cost.values()])
+    return {j: c.numerator * (scale // c.denominator) for j, c in cost.items()}
+
+
+def _reduce(row: dict[int, int], rhs: int) -> int:
+    """Divide ``row`` (in place) and ``rhs`` by their gcd; return the rhs."""
+    g = gcd(rhs, *row.values())
+    if g > 1:
+        for j, a in row.items():
+            row[j] = a // g
+        rhs //= g
+    return rhs
+
+
 class _Tableau:
-    """Sparse simplex tableau (rows as dicts) with Bland's rule."""
+    """Sparse fraction-free simplex tableau with Bland's rule.
+
+    Row ``i`` is ``rows[i]`` (column -> int) with integer rhs ``rhs[i]``,
+    and stands for the rational row ``rows[i] / d_i`` where
+    ``d_i = rows[i][basis[i]] > 0``.  So the basic variable's value is
+    ``rhs[i] / d_i``, and ratios ``rhs[i] / rows[i][e]`` need no ``d_i`` at
+    all.  Basic columns are unit columns: a basic variable appears in no
+    other row.
+    """
 
     def __init__(self, rows: list[dict[int, Fraction]], rhs: list[Fraction],
-                 n_vars: int):
+                 n_vars: int, row_slack: list[Optional[int]]):
+        """Scale each row to integers and pick its initial basic variable.
+
+        Rows whose usable slack column (coefficient +1, nonnegative rhs)
+        can start basic keep it; only the remaining rows get artificial
+        variables, which usually makes phase one trivial for
+        inequality-dominated systems.  An artificial's integer coefficient
+        is the row's scale, i.e. rational coefficient 1.
+        """
         self.n_vars = n_vars
         self.n_rows = len(rows)
-        # Translation can leave exact-zero entries behind; drop them here so
-        # sparsity invariants hold (absent == zero) throughout the pivots.
-        self.rows: list[dict[int, Fraction]] = [
-            {j: a for j, a in r.items() if a.numerator} for r in rows]
-        self.rhs = list(rhs)
-        self.basis: list[int] = [-1] * self.n_rows
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.basis: list[int] = []
         self.pivots = 0
-
-    def phase_one(self, row_slack: Optional[list[Optional[int]]] = None) -> bool:
-        """Find a feasible basis; True iff one exists.
-
-        Rows carrying a usable slack column (coefficient +1, nonnegative
-        rhs) start with that slack basic — only the remaining rows get
-        artificial variables, which usually makes phase one trivial for
-        inequality-dominated systems.
-        """
-        n = self.n_vars
-        art_rows = []
-        for i in range(self.n_rows):
-            slack = row_slack[i] if row_slack else None
-            if slack is not None and self.rows[i].get(slack) == 1:
-                self.basis[i] = slack
-                self._clear_column_except(slack, i)
+        self.art_rows: list[int] = []
+        width = n_vars
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            int_row, int_rhs, scale = _integer_row(row, b)
+            slack = row_slack[i]
+            if slack is not None and int_row.get(slack) == scale:
+                self.basis.append(slack)
             else:
-                art_rows.append(i)
-        if art_rows:
-            width = n
-            cost: dict[int, Fraction] = {}
-            for i in art_rows:
-                art = width
+                int_row[width] = scale
+                self.basis.append(width)
+                self.art_rows.append(i)
                 width += 1
-                self.rows[i][art] = _F1
-                self.basis[i] = art
-                cost[art] = _F1
-            self._run(cost, width)
-            value = sum((self.rhs[i] for i in range(self.n_rows)
-                         if self.basis[i] >= n), _F0)
-            if value != 0:
-                return False
-            # Drive artificials out of the basis where possible.
-            for i in range(self.n_rows):
-                if self.basis[i] >= n:
-                    pivot_col = next((j for j in sorted(self.rows[i])
-                                      if j < n and self.rows[i][j] != 0), None)
-                    if pivot_col is not None:
-                        self._pivot(i, pivot_col)
-            # Drop artificial columns; rows whose basic variable is still
-            # artificial have zero rhs and are redundant.
-            keep = [i for i in range(self.n_rows) if self.basis[i] < n]
-            self.rows = [{j: a for j, a in self.rows[i].items() if j < n}
-                         for i in keep]
-            self.rhs = [self.rhs[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
-            self.n_rows = len(keep)
-        return True
+            self.rhs.append(_reduce(int_row, int_rhs))
+            self.rows.append(int_row)
 
-    def _clear_column_except(self, col: int, pivot_row: int) -> None:
-        """Make ``col`` a unit column (it already is in typical input, but a
-        slack may appear in bound rows added later)."""
-        if self.rows[pivot_row].get(col) != 1:
-            return
+    def phase_one(self) -> bool:
+        """Find a feasible basis; True iff one exists."""
+        n = self.n_vars
+        if not self.art_rows:
+            return True
+        self._run({self.basis[i]: 1 for i in self.art_rows})
+        value = sum((Fraction(self.rhs[i], self.rows[i][b])
+                     for i, b in enumerate(self.basis) if b >= n), _F0)
+        if value != 0:
+            return False
+        # Drive artificials out of the basis where possible.
         for i in range(self.n_rows):
-            if i != pivot_row and col in self.rows[i]:
-                self._eliminate(i, pivot_row, self.rows[i][col])
+            if self.basis[i] >= n:
+                pivot_col = next((j for j in sorted(self.rows[i]) if j < n),
+                                 None)
+                if pivot_col is not None:
+                    self._pivot(i, pivot_col)
+        # Drop artificial columns; rows whose basic variable is still
+        # artificial have zero rhs and are redundant.
+        keep = [i for i in range(self.n_rows) if self.basis[i] < n]
+        self.rows = [{j: a for j, a in self.rows[i].items() if j < n}
+                     for i in keep]
+        self.rhs = [self.rhs[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.n_rows = len(keep)
+        return True
 
     def phase_two(self, objective: list[Fraction]) -> LPStatus:
         """Minimize ``objective`` from the current feasible basis."""
-        cost = {j: c for j, c in enumerate(objective) if c.numerator}
-        return self._run(cost, self.n_vars)
+        return self._run(_integer_costs(
+            {j: c for j, c in enumerate(objective) if c}))
 
-    def _reduced_costs(self, cost: dict[int, Fraction],
-                       width: int) -> dict[int, Fraction]:
-        # Rows are already B^{-1} A, so reduced = c - sum_i c_B[i] * row_i.
+    def _reduced_costs(self, cost: dict[int, int]) -> dict[int, int]:
+        """``c - sum_i c_B[i] * row_i / d_i``, as an int row times a
+        positive factor (only the signs are ever read)."""
         reduced = dict(cost)
+        scale = 1
         for i, b in enumerate(self.basis):
-            cb = cost.get(b, _F0)
-            if cb.numerator:
-                for j, a in self.rows[i].items():
-                    if j < width:
-                        value = reduced.get(j, _F0) - cb * a
-                        if value:
-                            reduced[j] = value
-                        else:
-                            reduced.pop(j, None)
-        return reduced
-
-    def _run(self, cost: dict[int, Fraction], width: int) -> LPStatus:
-        basis_set = set(self.basis)
-        # Reduced costs are computed once and then maintained across pivots:
-        # after pivoting on (row r, col e), r'_j = r_j - r_e * a'_rj where
-        # a'_r is the NEW (normalized) pivot row.  This is the exact algebraic
-        # identity for the price update, so the entering-column choices (and
-        # hence every pivot) match the full recomputation bit for bit.
-        reduced = self._reduced_costs(cost, width)
-        while True:
-            # Bland: smallest eligible index.  ``v.numerator < 0`` is the
-            # sign of the Fraction (denominators are always positive) —
-            # an int compare instead of a rational comparison.
-            entering = min(
-                (j for j, v in reduced.items()
-                 if v.numerator < 0 and j not in basis_set),
-                default=None)
-            if entering is None:
-                return LPStatus.OPTIMAL
-            # Ratio test with Bland's tie-break on the leaving basic variable.
-            leaving = None
-            best = None
-            for i in range(self.n_rows):
-                a = self.rows[i].get(entering)
-                if a is not None and a.numerator > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return LPStatus.UNBOUNDED
-            basis_set.discard(self.basis[leaving])
-            self._pivot(leaving, entering)
-            basis_set.add(entering)
-            r_e = reduced[entering]
-            for j, a in self.rows[leaving].items():
-                if j < width:
-                    value = reduced.get(j, _F0) - r_e * a
+            cb = cost.get(b)
+            if cb:
+                row = self.rows[i]
+                d = row[b]
+                common = lcm(scale, d)
+                if common != scale:
+                    m = common // scale
+                    reduced = {j: m * v for j, v in reduced.items()}
+                    scale = common
+                t = cb * (common // d)
+                for j, a in row.items():
+                    value = reduced.get(j, 0) - t * a
                     if value:
                         reduced[j] = value
                     else:
                         reduced.pop(j, None)
+        return reduced
+
+    def _run(self, cost: dict[int, int]) -> LPStatus:
+        basis_set = set(self.basis)
+        rows = self.rows
+        rhs = self.rhs
+        basis = self.basis
+        # Reduced costs are computed once and then maintained across pivots:
+        # after pivoting on (row r, col e) with pivot element p > 0,
+        # p * r_j - r_e * a_rj is the new reduced cost times a positive
+        # factor — the exact price update, so every entering choice matches
+        # a full recomputation.
+        reduced = self._reduced_costs(cost)
+        while True:
+            # Bland: smallest eligible index.
+            entering = min(
+                (j for j, v in reduced.items() if v < 0 and j not in basis_set),
+                default=None)
+            if entering is None:
+                return LPStatus.OPTIMAL
+            # Ratio test rhs_i / a_i (the row factor cancels), compared by
+            # cross-multiplication; Bland's tie-break on the leaving basic
+            # variable.
+            leaving = None
+            for i in range(self.n_rows):
+                a = rows[i].get(entering)
+                if a is not None and a > 0:
+                    if leaving is None:
+                        leaving, best_b, best_a = i, rhs[i], a
+                        continue
+                    lhs = rhs[i] * best_a
+                    rhs_ = best_b * a
+                    if lhs < rhs_ or (lhs == rhs_
+                                      and basis[i] < basis[leaving]):
+                        leaving, best_b, best_a = i, rhs[i], a
+            if leaving is None:
+                return LPStatus.UNBOUNDED
+            basis_set.discard(basis[leaving])
+            self._pivot(leaving, entering)
+            basis_set.add(entering)
+            pivot_row = rows[leaving]
+            p = pivot_row[entering]
+            r_e = reduced[entering]
+            if p != 1:
+                reduced = {j: p * v for j, v in reduced.items()}
+            for j, a in pivot_row.items():
+                value = reduced.get(j, 0) - r_e * a
+                if value:
+                    reduced[j] = value
+                else:
+                    reduced.pop(j, None)
+            g = gcd(*reduced.values())
+            if g > 1:
+                reduced = {j: v // g for j, v in reduced.items()}
 
     def _pivot(self, row: int, col: int) -> None:
+        """Make ``col`` basic in ``row``: ``row_i <- p*row_i - f*row_row``
+        for every other row with ``f = row_i[col]``, then gcd-reduce."""
         self.pivots += 1
         budget = get_budget()
         if budget is not None:
             budget.charge_pivot()
-        pivot_row = self.rows[row]
-        inv = 1 / pivot_row[col]
-        if inv != 1:
-            self.rows[row] = pivot_row = {j: a * inv for j, a in pivot_row.items()}
-            self.rhs[row] *= inv
+        rows = self.rows
+        rhs = self.rhs
+        pivot_row = rows[row]
+        p = pivot_row[col]
+        if p < 0:
+            # Only the drive-out of phase one pivots on a negative element.
+            rows[row] = pivot_row = {j: -a for j, a in pivot_row.items()}
+            rhs[row] = -rhs[row]
+            p = -p
+        pivot_rhs = rhs[row]
         for i in range(self.n_rows):
-            if i != row:
-                factor = self.rows[i].get(col)
-                if factor:
-                    self._eliminate(i, row, factor)
+            if i == row:
+                continue
+            target = rows[i]
+            f = target.get(col)
+            if f is None:
+                continue
+            if p != 1:
+                target = {j: p * a for j, a in target.items()}
+            for j, a in pivot_row.items():
+                value = target.get(j, 0) - f * a
+                if value:
+                    target[j] = value
+                else:
+                    del target[j]
+            rows[i] = target
+            rhs[i] = _reduce(target, p * rhs[i] - f * pivot_rhs)
         self.basis[row] = col
-
-    def _eliminate(self, target: int, source: int, factor: Fraction) -> None:
-        """row[target] -= factor * row[source]; rhs too."""
-        src = self.rows[source]
-        dst = self.rows[target]
-        if factor == 1:  # +/-1 factors dominate; skip the multiply
-            for j, a in src.items():
-                value = dst.get(j, _F0) - a
-                if value:
-                    dst[j] = value
-                else:
-                    dst.pop(j, None)
-        elif factor == -1:
-            for j, a in src.items():
-                value = dst.get(j, _F0) + a
-                if value:
-                    dst[j] = value
-                else:
-                    dst.pop(j, None)
-        else:
-            for j, a in src.items():
-                value = dst.get(j, _F0) - factor * a
-                if value:
-                    dst[j] = value
-                else:
-                    dst.pop(j, None)
-        self.rhs[target] -= factor * self.rhs[source]
 
     def primal_solution(self) -> list[Fraction]:
         x = [_F0] * self.n_vars
         for i, b in enumerate(self.basis):
             if b < self.n_vars:
-                x[b] = self.rhs[i]
+                x[b] = Fraction(self.rhs[i], self.rows[i][b])
         return x

@@ -246,7 +246,7 @@ class Problem:
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Add one constraint; its variables must be declared."""
-        missing = constraint.expr.variables() - set(self._integer)
+        missing = constraint.expr.coeffs.keys() - self._integer.keys()
         if missing:
             raise KeyError(f"undeclared variables in constraint: {sorted(missing)}")
         self._lowered = None
@@ -287,46 +287,37 @@ class Problem:
     def lower_to_lp(self, objective: Optional[LinExpr] = None) -> LinearProgram:
         """Produce the equivalent :class:`LinearProgram`.
 
-        The constraint matrix and bounds columns depend only on the declared
-        variables and constraints, so they are lowered once and cached until
-        the next mutation; only the objective row is built per call.  The
+        Constraint rows are lowered straight to the sparse form the simplex
+        consumes.  The constraint matrix and bounds columns depend only on
+        the declared variables and constraints, so they are lowered once and
+        cached until the next mutation; only the objective row is built per
+        call.  The
         cached lists are shared between the returned programs — downstream
         consumers (simplex, branch and bound) treat them as read-only and
         copy before modifying bounds.
         """
         index = self._index
-        zero = Fraction(0)
-        width = len(self._order)
         if self._lowered is None:
             a_ub, b_ub, a_eq, b_eq = [], [], [], []
             for c in self._constraints:
                 if c.sense == ">=":
-                    # Build the negated row directly instead of negating a
-                    # dense row element by element (that negates every zero
-                    # too).
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = -v
-                    a_ub.append(row)
+                    a_ub.append({index[name]: -v
+                                 for name, v in c.expr.coeffs.items()})
                     b_ub.append(c.expr.const)
                 elif c.sense == "<=":
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = v
-                    a_ub.append(row)
+                    a_ub.append({index[name]: v
+                                 for name, v in c.expr.coeffs.items()})
                     b_ub.append(-c.expr.const)
                 else:
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = v
-                    a_eq.append(row)
+                    a_eq.append({index[name]: v
+                                 for name, v in c.expr.coeffs.items()})
                     b_eq.append(-c.expr.const)
             self._lowered = (a_ub, b_ub, a_eq, b_eq,
                              [self._lower[n] for n in self._order],
                              [self._upper[n] for n in self._order])
         a_ub, b_ub, a_eq, b_eq, lower, upper = self._lowered
         obj_row = self._row(objective) if objective is not None \
-            else [zero] * width
+            else [Fraction(0)] * len(self._order)
         # All entries are exact Fractions by construction (``add_variable``
         # and the LinExpr constructor coerce on entry), so the re-validating
         # public constructor is skipped.
@@ -352,66 +343,82 @@ class Problem:
         eliminated values).  ``protect`` names variables that must survive.
         """
         protect = protect or set()
-        constraints = list(self._constraints)
-        lower = dict(self._lower)
-        upper = dict(self._upper)
+        integer = self._integer
+        lower, upper = self._lower, self._upper
+        # One scan in list order.  Eliminating a victim rewrites only the
+        # constraints that mention it (found through ``occurs``) and appends
+        # its bounds as inequalities at the end of the list.  The scanned
+        # prefix never mentions a candidate variable again, so this single
+        # pass picks the same victims in the same order — and produces the
+        # same constraints, in the same order, with the same coefficient
+        # insertion order — as rescanning from the start after every
+        # elimination would.
+        constraints: list[Optional[Constraint]] = list(self._constraints)
+        # Candidate victim (continuous, unprotected, not yet eliminated) ->
+        # positions of the live constraints that mention it.
+        occurs: dict[str, set[int]] = {}
+        for pos, c in enumerate(constraints):
+            for name in c.expr.coeffs:
+                if not integer[name] and name not in protect:
+                    occurs.setdefault(name, set()).add(pos)
         eliminated: list[tuple[str, LinExpr]] = []
-        removed: set[str] = set()
-
-        progress = True
-        while progress:
-            progress = False
-            for idx, c in enumerate(constraints):
-                if c.sense != "==":
+        zero = Fraction(0)
+        # The scan also reaches the bound rows appended below (inequalities,
+        # so never eliminated) and sees each row as last rewritten.
+        for pos, c in enumerate(constraints):
+            if c is None or c.sense != "==":
+                continue
+            victim = next((n for n in c.expr.coeffs if n in occurs), None)
+            if victim is None:
+                continue
+            k = c.expr.coeffs[victim]
+            scale = -1 / k
+            expr = LinExpr._raw(
+                {n: scale * v for n, v in c.expr.coeffs.items()
+                 if n != victim},
+                scale * c.expr.const)
+            eliminated.append((victim, expr))
+            constraints[pos] = None
+            sites = occurs.pop(victim)
+            sites.discard(pos)
+            candidates = [n for n in expr.coeffs if n in occurs]
+            for n in candidates:
+                occurs[n].discard(pos)
+            for q in sites:
+                other = constraints[q]
+                coeff = other.expr.coeffs[victim]
+                # ``without + coeff * expr`` without the two intermediate
+                # LinExpr copies.
+                merged = {n: v for n, v in other.expr.coeffs.items()
+                          if n != victim}
+                for n, v in expr.coeffs.items():
+                    value = merged.get(n, zero) + coeff * v
+                    if value:
+                        merged[n] = value
+                    else:
+                        merged.pop(n, None)
+                for n in candidates:
+                    if n in merged:
+                        occurs[n].add(q)
+                    else:
+                        occurs[n].discard(q)
+                constraints[q] = Constraint(
+                    LinExpr._raw(merged,
+                                 other.expr.const + coeff * expr.const),
+                    other.sense)
+            # The victim's bounds survive as inequalities on `expr`
+            # (``expr >= lo`` and ``expr <= hi``, built directly).
+            for bound, sense in ((lower[victim], ">="),
+                                 (upper[victim], "<=")):
+                if bound is None:
                     continue
-                victim = None
-                for name in c.expr.coeffs:
-                    if (not self._integer[name] and name not in protect
-                            and name not in removed):
-                        victim = name
-                        break
-                if victim is None:
-                    continue
-                k = c.expr.coeffs[victim]
-                scale = -1 / k
-                expr = LinExpr._raw(
-                    {n: scale * v for n, v in c.expr.coeffs.items()
-                     if n != victim},
-                    scale * c.expr.const)
-                eliminated.append((victim, expr))
-                removed.add(victim)
-                replacement: list[Constraint] = []
-                # The victim's bounds survive as inequalities on `expr`.
-                if lower[victim] is not None:
-                    replacement.append(expr >= lower[victim])
-                if upper[victim] is not None:
-                    replacement.append(expr <= upper[victim])
-                zero = Fraction(0)
-                new_constraints = []
-                for j, other in enumerate(constraints):
-                    if j == idx:
-                        continue
-                    coeff = other.expr.coeffs.get(victim)
-                    if not coeff:
-                        new_constraints.append(other)
-                        continue
-                    # ``without + coeff * expr`` without the two intermediate
-                    # LinExpr copies.
-                    merged = {n: v for n, v in other.expr.coeffs.items()
-                              if n != victim}
-                    for n, v in expr.coeffs.items():
-                        value = merged.get(n, zero) + coeff * v
-                        if value:
-                            merged[n] = value
-                        else:
-                            merged.pop(n, None)
-                    new_constraints.append(Constraint(
-                        LinExpr._raw(merged,
-                                     other.expr.const + coeff * expr.const),
-                        other.sense))
-                constraints = new_constraints + replacement
-                progress = True
-                break
+                for n in candidates:
+                    occurs[n].add(len(constraints))
+                constraints.append(Constraint(
+                    LinExpr._raw(dict(expr.coeffs), expr.const - bound),
+                    sense))
+        constraints = [c for c in constraints if c is not None]
+        removed = {name for name, _ in eliminated}
 
         if not removed and all(c.expr.coeffs for c in constraints):
             # Nothing eliminated and no constant constraints to audit: the
