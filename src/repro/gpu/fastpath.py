@@ -31,6 +31,29 @@ blocks and loop iterations.  Three consequences drive the speedup:
   which reproduces the reference's sector-operation sequence byte for
   byte — counters stay bitwise-identical by construction.
 
+Union loops — one loop covering several statements, each under its own
+guard chain, as polyhedral code generation emits for fused operators —
+spend most of their values with most guards failing.  The fast path
+separates guards from the loop at simulation time, as CLooG-style
+generators do statically:
+
+* **loop segmentation**: at entry to a loop with lane-invariant bounds,
+  every guard chain in its body whose conditions carry no thread
+  variable is solved for the loop variable (``a*v + r <= | >= | == 0``,
+  ``r`` from the entry env, exact integer or rational floor/ceil).  The
+  solution intervals cut the trip range into segments; each value of a
+  segment runs only the children active there, a folded chain's
+  innermost body directly with the caller's mask, and segments with no
+  active child are skipped.  This is exact: a lane-invariant guard passes
+  all lanes or none, a failing guard changes no counter and no cache
+  line, and values and children keep their order, so the sequence of
+  sector operations into the cache hierarchy is unchanged.  Segments are
+  recomputed at every loop entry; only the static per-loop plan (which
+  children fold, with their loop-variable coefficients) is memoized.
+  Loops with lane-variant bounds, vector and mapped loops, and loops
+  whose body contains a mapped loop (it shifts env entries the solved
+  conditions read) run value by value as before.
+
 Constructs outside this model (currently: a mapped loop whose lower bound
 has nonzero thread coefficients, or an unknown AST node) raise
 :class:`FallbackNeeded`; the backend then re-runs the *whole launch* on
@@ -42,7 +65,7 @@ from __future__ import annotations
 
 import math
 
-from repro.codegen.ast import Guard, Loop, Seq, StatementCall
+from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
 from repro.gpu.memory import replay_warp_pattern
 from repro.gpu.simulator import _Simulator
 
@@ -109,7 +132,9 @@ class _FastState:
         # probe per iteration, with no expression evaluation at all.
         self.guard_plans: dict = {}   # id(guard) -> (conditions, deps)
         self.guard_cache: dict = {}   # (id, warp, dep values) -> pass mask
-        self.loop_plans: dict = {}    # id(loop) -> (lowers, uppers, deps)
+        # id(loop) -> (lowers, uppers, deps, fold plan | None); the fold
+        # plan is static (see `_FastSimulator._fold_plan`).
+        self.loop_plans: dict = {}
         self.loop_cache: dict = {}    # (id, warp, dep values) -> bounds
         self.mapped_plans: dict = {}  # id(loop) -> (lowers, deps)
         self.mapped_cache: dict = {}  # (id, dep values) -> lower shift
@@ -360,9 +385,10 @@ class _FastSimulator(_Simulator):
         if plan is None:
             lower_exprs, upper_exprs = self._compiled_bounds(loop)
             plan = (lower_exprs, upper_exprs,
-                    self._expr_deps(lower_exprs + upper_exprs))
+                    self._expr_deps(lower_exprs + upper_exprs),
+                    self._fold_plan(loop))
             self._loop_plans[id(loop)] = plan
-        lower_exprs, upper_exprs, deps = plan
+        lower_exprs, upper_exprs, deps, folds = plan
         key = (id(loop), self._warp_start,
                tuple(env[name] for name in deps))
         bounds = self._loop_cache.get(key)
@@ -376,7 +402,10 @@ class _FastSimulator(_Simulator):
             return
         var = loop.var
         body = loop.body
-        if lane_masks is None:
+        if lane_masks is None and folds is not None:
+            # Lane-invariant bounds over foldable guard chains.
+            self._frun_segments(folds, var, lo, hi, mask)
+        elif lane_masks is None:
             # Lane-invariant bounds: every value runs with the caller's
             # mask unchanged.
             for value in range(lo, hi + 1):
@@ -394,6 +423,109 @@ class _FastSimulator(_Simulator):
                     env[var] = value
                     self._frun(body, sub_mask)
         env.pop(var, None)
+
+    def _fold_plan(self, loop: Loop):
+        """The static segmentation plan of ``loop``'s body, or ``None``
+        when no child folds.
+
+        One entry per body child: ``(nodes, conditions)``.  A child folds
+        when it is a guard chain — a :class:`Guard`, extended through
+        every guard that is the sole child of the previous guard's body —
+        whose conditions carry no thread variable: such a chain passes
+        all lanes or none.  Its entry holds the innermost folded body's
+        children and the chain's conditions as ``(sense, expr, a)`` with
+        ``a`` the loop variable's coefficient.  Any other child runs
+        unconditionally: ``((child,), None)``.  Loops containing a mapped
+        loop never fold — `_frun_mapped` shifts env entries inside the
+        body, so conditions solved at loop entry could go stale.
+        """
+        if any(isinstance(node, Loop) and node.mapping
+               for node in walk(loop.body)):
+            return None
+        thread_vars = self._thread_vars
+        plan = []
+        folded = False
+        for child in loop.body.children:
+            conditions = []
+            body = None
+            node = child
+            while isinstance(node, Guard):
+                compiled = self._compiled_conditions(node)
+                if any(name in thread_vars
+                       for _, expr in compiled for name, _ in expr.terms):
+                    break
+                conditions.extend((sense, expr, dict(expr.terms).get(
+                    loop.var, 0)) for sense, expr in compiled)
+                body = node.body
+                node = body.children[0] if len(body.children) == 1 else None
+            if body is None:
+                plan.append(((child,), None))
+            else:
+                plan.append((tuple(body.children), tuple(conditions)))
+                folded = True
+        return tuple(plan) if folded else None
+
+    def _frun_segments(self, folds, var: str, lo: int, hi: int,
+                       mask: int) -> None:
+        """Run ``[lo, hi]`` of a lane-invariant loop as segments.
+
+        Each folded chain's conditions ``a*var + r (sense) 0`` are solved
+        for ``var`` once, against the loop-entry env (``r`` is the value
+        at ``var = 0``; nothing inside a foldable loop changes the other
+        variables).  The chains' solution intervals cut ``[lo, hi]`` into
+        segments on which every child is uniformly active or inactive;
+        each value runs its segment's active children in body order, a
+        folded chain's innermost body directly with the caller's mask
+        (why this is exact: see the module docstring).
+        """
+        env = self._env
+        env[var] = 0
+        cuts = {lo, hi + 1}
+        spans = []
+        for nodes, conditions in folds:
+            c_lo, c_hi = lo, hi
+            if conditions is not None:
+                for sense, expr, a in conditions:
+                    r = expr.value(env)
+                    if a == 0:
+                        ok = (r <= 0 if sense == "<="
+                              else r >= 0 if sense == ">=" else r == 0)
+                        if not ok:
+                            c_lo, c_hi = hi + 1, hi
+                            break
+                        continue
+                    # The root -r/a, floored and ceiled exactly.
+                    if type(a) is int and type(r) is int:
+                        floor, ceil = -r // a, -(r // a)
+                    else:
+                        root = -r / a
+                        floor, ceil = math.floor(root), math.ceil(root)
+                    if sense == "==":
+                        if floor != ceil:
+                            c_lo, c_hi = hi + 1, hi
+                            break
+                        c_lo, c_hi = max(c_lo, floor), min(c_hi, floor)
+                    elif (sense == "<=") == (a > 0):
+                        c_hi = min(c_hi, floor)
+                    else:
+                        c_lo = max(c_lo, ceil)
+                    if c_lo > c_hi:
+                        break
+                if c_lo > c_hi:
+                    continue
+                cuts.add(c_lo)
+                cuts.add(c_hi + 1)
+            spans.append((nodes, c_lo, c_hi))
+        cuts = sorted(cuts)
+        run = self._frun
+        for start, stop in zip(cuts, cuts[1:]):
+            active = [node for nodes, c_lo, c_hi in spans
+                      if c_lo <= start <= c_hi for node in nodes]
+            if active:
+                for value in range(start, stop):
+                    env[var] = value
+                    for node in active:
+                        run(node, mask)
 
     def _loop_bounds(self, loop: Loop, lower_exprs, upper_exprs):
         """``(lo, hi, lane_masks)`` for the current warp slot and env:

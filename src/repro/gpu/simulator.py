@@ -157,7 +157,7 @@ class _CompiledExpr:
         self.const = narrow(expr.const)
         self.is_integral = not self.frac_terms and type(self.const) is int
 
-    def value(self, env: dict[str, int]) -> Fraction:
+    def value(self, env: dict[str, int]) -> int | Fraction:
         total = self.const
         for name, coeff in self.int_terms:
             total += coeff * env[name]

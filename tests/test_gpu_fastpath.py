@@ -10,26 +10,32 @@ iteration order inside :func:`repro.gpu.memory.warp_access`).
 
 import copy
 import os
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.ast import Guard, Loop, Seq, StatementCall
+from repro.codegen.cuda import MappedDim, MappedKernel
+from repro.gpu.arch import V100
 from repro.gpu.backend import (
     DEFAULT_SIMULATOR,
     available_simulators,
     resolve_simulator,
 )
+from repro.gpu.fastpath import _FastSimulator
 from repro.gpu.profile_cache import (
     ProfileCache,
     get_profile_cache,
     use_profile_cache,
 )
 from repro.gpu.simulator import simulate_kernel
+from repro.ir import Kernel
 from repro.ir.kparser import parse_kernel
 from repro.obs import MetricsRegistry, Obs, use_obs
 from repro.pipeline.akg import VARIANTS, AkgPipeline
-from repro.solver.problem import LinExpr
+from repro.solver.problem import Constraint, LinExpr
 from repro.workloads import operators
 from repro.workloads.generator import generate_network_suite
 
@@ -57,6 +63,16 @@ ZOO = {
     "broadcast": lambda: operators.broadcast_bias_op("fp_bb"),
     "strided_pool": lambda: operators.strided_pool_op("fp_sp"),
     "layout4d": lambda: operators.layout_conversion_op("fp_lc", 2, 16, 8, 8),
+    # The families below all run partial warps (40, 40, 3, 1 and 1
+    # threads per block); fused, they are union loops whose statement
+    # guards the fast path folds into loop segments.
+    "attention_block": lambda: operators.attention_block_op(
+        "fp_attn", seq=40, dmodel=12),
+    "softmax_partial": lambda: operators.softmax_like_op("fp_smp", 40, 20),
+    "depthwise_conv": lambda: operators.depthwise_conv_op(
+        "fp_dw", channels=3, height=10, width=10, kernel_size=3),
+    "stencil2d_jacobi": lambda: operators.stencil2d_op("fp_jac", 12),
+    "stencil2d_heat": lambda: operators.stencil2d_op("fp_heat", 12, "heat"),
 }
 
 
@@ -126,6 +142,187 @@ class TestParity:
                                 influenced=influenced,
                                 enable_vec=enable_vec,
                                 max_threads=max_threads)
+        _parity(mapped, sample_blocks=2)
+
+
+# -- loop segmentation ---------------------------------------------------------
+#
+# Hand-built mapped ASTs around one sequential loop ``v`` (inside an outer
+# sequential loop ``o``, a thread-mapped ``tx`` and a block-mapped ``bx``),
+# whose body mixes guard chains the fast path folds into loop segments with
+# children it must not fold.  A condition spec is ``(a, b, t, p, d, sense)``
+# for ``a*v + b*o + t*tx + p*P + d (sense) 0``; ``t != 0`` makes it a
+# thread-variable (lane-variant) condition.
+
+_SEG_GRID = 3
+
+
+def _seg_kernel():
+    kernel = Kernel("seg", params={"P": 3})
+    for name in ("A", "B", "C"):
+        kernel.add_tensor(name, (_SEG_GRID * 40, 64))
+    kernel.add_statement("S0", [("i", 0, _SEG_GRID * 40), ("j", 0, 64)],
+                         writes=[("B", ["i", "j"])], reads=[("A", ["i", "j"])])
+    kernel.add_statement("S1", [("i", 0, _SEG_GRID * 40), ("j", 0, 64)],
+                         writes=[("C", ["i", "j"])], reads=[("B", ["i", "j"])])
+    return kernel
+
+
+def _seg_call(kernel, index, threads, extra=None):
+    """A statement instance at ``(tx + threads*bx, v + o + 24 [+ extra])``
+    — distinct children touch distinct statements and columns."""
+    j = {"v": 1, "o": 1}
+    if extra:
+        j[extra] = 1
+    return StatementCall(
+        kernel.statements[index % 2],
+        {"i": LinExpr({"tx": 1, "bx": threads}),
+         "j": LinExpr(j, const=24 + index % 3)})
+
+
+def _seg_condition(spec):
+    a, b, t, p, d, sense = spec
+    return Constraint(LinExpr({"v": a, "o": b, "tx": t, "P": p}, const=d),
+                      sense)
+
+
+def _seg_child(kernel, spec, index, threads):
+    kind = spec[0]
+    if kind == "call":
+        return _seg_call(kernel, index, threads)
+    if kind == "loop":
+        return Loop("w", [LinExpr(const=0)], [LinExpr(const=1)],
+                    Seq([_seg_call(kernel, index, threads, extra="w")]))
+    # ("chain", [[condition spec, ...] per guard, outermost first], n_calls)
+    _, guards, n_calls = spec
+    node = Seq([_seg_call(kernel, index + k, threads)
+                for k in range(n_calls)])
+    for conditions in reversed(guards):
+        node = Seq([Guard([_seg_condition(c) for c in conditions], node)])
+    return node.children[0]
+
+
+def _seg_mapped(threads, lo, hi, lane_variant, children, body=None):
+    """The mapped kernel ``bx { tx { o { v in [lo, hi(-tx)] { ... } } } }``."""
+    kernel = _seg_kernel()
+    upper = LinExpr({"tx": -1} if lane_variant else {}, const=hi)
+    loop = Loop("v", [LinExpr(const=lo)], [upper], Seq(
+        body if body is not None else
+        [_seg_child(kernel, spec, index, threads)
+         for index, spec in enumerate(children)]))
+    ast = Seq([Loop("bx", [LinExpr(const=0)], [LinExpr(const=_SEG_GRID - 1)],
+                    Seq([Loop("tx", [LinExpr(const=0)],
+                              [LinExpr(const=threads - 1)],
+                              Seq([Loop("o", [LinExpr(const=0)],
+                                        [LinExpr(const=1)], Seq([loop]))]),
+                              mapping="threadIdx.x")]),
+                    mapping="blockIdx.x")])
+    return MappedKernel(kernel, None, ast,
+                        grid=[MappedDim("bx", _SEG_GRID, "blockIdx.x")],
+                        block=[MappedDim("tx", threads, "threadIdx.x")]), loop
+
+
+_COEFFS = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+_condition = st.tuples(
+    st.sampled_from(_COEFFS),                             # a: loop variable
+    st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]),       # b: outer variable
+    st.sampled_from([0, 0, 0, 1]),                        # t: thread variable
+    st.sampled_from([0, 1]),                              # p: parameter
+    st.one_of(st.integers(-12, 12),
+              st.sampled_from([Fraction(1, 2), Fraction(-7, 3)])),
+    st.sampled_from(["<=", ">=", "=="]))
+
+_child = st.one_of(
+    st.just(("call",)), st.just(("loop",)),
+    st.tuples(st.just("chain"),
+              st.lists(st.lists(_condition, min_size=1, max_size=2),
+                       min_size=1, max_size=3),
+              st.integers(1, 2)))
+
+# Every case the segmentation must get right, pinned as explicit examples
+# (the random draws cover their combinations).
+_SEG_EXAMPLES = [
+    # positive / negative coefficient window, a non-guard child between
+    [("chain", [[(1, 0, 0, 0, -3, ">="), (1, 0, 0, 0, -8, "<=")]], 1),
+     ("call",),
+     ("chain", [[(-1, 0, 0, 0, 5, ">=")]], 2)],
+    # zero coefficient: an outer-variable-only verdict
+    [("chain", [[(0, 1, 0, 0, -1, "==")]], 1), ("loop",)],
+    # rational coefficient, == with integral and non-integral roots
+    [("chain", [[(Fraction(1, 2), 0, 0, 0, -2, ">=")]], 1),
+     ("chain", [[(2, 0, 0, 0, -6, "==")]], 1),
+     ("chain", [[(2, 0, 0, 0, -5, "==")]], 1)],
+    # nested single-child chain whose inner guard is on the outer variable,
+    # then a thread-variable guard next to foldable ones
+    [("chain", [[(1, 0, 0, 0, -2, ">=")], [(0, -1, 0, 0, 0, ">=")]], 2),
+     ("chain", [[(0, 0, 1, 0, -3, "<=")]], 1),
+     ("chain", [[(1, 0, 0, 1, -9, "<=")], [(0, 0, 1, 0, -2, ">=")]], 1)],
+]
+
+
+class TestLoopSegmentation:
+    @given(threads=st.sampled_from([5, 32, 40]),
+           lo=st.integers(-6, 6), span=st.integers(-2, 12),
+           lane_variant=st.booleans(),
+           children=st.lists(_child, min_size=1, max_size=5))
+    @example(threads=40, lo=0, span=10, lane_variant=False,
+             children=_SEG_EXAMPLES[0])
+    @example(threads=5, lo=-3, span=6, lane_variant=False,
+             children=_SEG_EXAMPLES[1])
+    @example(threads=32, lo=0, span=8, lane_variant=False,
+             children=_SEG_EXAMPLES[2])
+    @example(threads=40, lo=-2, span=9, lane_variant=False,
+             children=_SEG_EXAMPLES[3])
+    @example(threads=40, lo=2, span=-1, lane_variant=False,      # empty
+             children=_SEG_EXAMPLES[0])
+    @example(threads=5, lo=3, span=0, lane_variant=False,        # one value
+             children=_SEG_EXAMPLES[0])
+    @example(threads=40, lo=0, span=10, lane_variant=True,
+             children=_SEG_EXAMPLES[3])
+    @settings(max_examples=60, deadline=None)
+    def test_parity(self, threads, lo, span, lane_variant, children):
+        mapped, _ = _seg_mapped(threads, lo, lo + span, lane_variant,
+                                children)
+        _parity(mapped, sample_blocks=2)
+
+    def test_folded_guards_are_not_evaluated(self, monkeypatch):
+        """Folded chains run without a `_guard_mask` call per value; the
+        thread-variable guard still takes one per value its parent runs."""
+        mapped, loop = _seg_mapped(40, 0, 20, False, _SEG_EXAMPLES[3])
+        plan = _FastSimulator(mapped, V100)._fold_plan(loop)
+        assert [conditions is not None for _, conditions in plan] \
+            == [True, False, True]
+        calls = []
+        original = _FastSimulator._guard_mask
+
+        def counting(sim, guard, mask):
+            calls.append(guard)
+            return original(sim, guard, mask)
+
+        monkeypatch.setattr(_FastSimulator, "_guard_mask", counting)
+        _parity(mapped, sample_blocks=2)
+        thread_guard = loop.body.children[1]
+        inner_thread_guard = loop.body.children[2].body.children[0]
+        assert set(map(id, calls)) \
+            == {id(thread_guard), id(inner_thread_guard)}
+
+    def test_loop_containing_mapped_loop_is_not_folded(self):
+        """A mapped loop shifts its variable's env entry on every entry, so
+        a body containing one is never segmented."""
+        kernel = _seg_kernel()
+        body = [_seg_child(kernel, ("chain", [[(1, 0, 0, 0, -2, ">=")]], 1),
+                           0, 32),
+                Loop("ty", [LinExpr(const=1)], [LinExpr(const=1)],
+                     Seq([_seg_call(kernel, 1, 32, extra="ty")]),
+                     mapping="threadIdx.y")]
+        mapped, loop = _seg_mapped(32, 0, 6, False, (), body=body)
+        mapped.block.append(MappedDim("ty", 1, "threadIdx.y"))
+        sim = _FastSimulator(mapped, V100)
+        assert sim._fold_plan(loop) is None
+        # The same chain without the mapped sibling folds.
+        assert sim._fold_plan(Loop("v", loop.lowers, loop.uppers,
+                                   Seq(body[:1]))) is not None
         _parity(mapped, sample_blocks=2)
 
 

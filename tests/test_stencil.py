@@ -64,14 +64,17 @@ class TestOperatorFamilies:
             assert check_semantics(launch.kernel, launch.ast) == []
 
     def test_fast_reference_simulator_parity(self, family):
+        # Every variant: the fused ones (novec, infl) lower to union loops
+        # whose statement guards the fast path folds into loop segments.
         _, kernel, _, _ = family
         pipe = AkgPipeline(sample_blocks=2)
-        compiled = pipe.compile(kernel, "infl")
-        for launch in compiled.launches:
-            fast = simulate_kernel(launch, sample_blocks=2, sim="fast")
-            reference = simulate_kernel(launch, sample_blocks=2,
-                                        sim="reference")
-            assert fast.counters() == reference.counters()
+        for variant in VARIANTS:
+            compiled = pipe.compile(kernel, variant)
+            for launch in compiled.launches:
+                fast = simulate_kernel(launch, sample_blocks=2, sim="fast")
+                reference = simulate_kernel(launch, sample_blocks=2,
+                                            sim="reference")
+                assert fast.counters() == reference.counters(), variant
 
     def test_measured(self, family):
         _, kernel, _, _ = family
