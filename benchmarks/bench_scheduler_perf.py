@@ -165,10 +165,7 @@ def test_bench_pipeline_passes_and_cache(benchmark):
     assert all(c.n_launches >= 1 for c in compiled)
     stats = pipeline.cache.stats()
     assert stats["hits"] > 0, "second round must hit the content cache"
-    # The summary includes the solver warm-start and dedup hit-rate lines,
-    # so reuse behaviour lands in the artifact alongside the pass table.
     summary = pipeline.context.format_summary()
-    assert "solver dedup" in summary
     write_artifact(
         "scheduler_perf_passes.txt",
         summary

@@ -67,13 +67,18 @@ def _compiled(family):
     return _COMPILED[family]
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
+def _best_of_alternating(fns, repeats=3):
+    """Best-of-``repeats`` latency of each of ``fns``, timed in
+    interleaved rounds (one call of each per round) so a change in host
+    speed between rounds reaches every side instead of one."""
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
     for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        for index, fn in enumerate(fns):
+            started = time.perf_counter()
+            results[index] = fn()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return list(zip(best, results))
 
 
 @pytest.mark.parametrize("sim", ["fast", "reference"])
@@ -94,9 +99,11 @@ def test_simulator_speedup():
 
     Warm measurements (best of 3 after a warmup run) — the fast backend's
     signature caches persist on the mapped kernel, which is exactly how
-    the evaluation pipeline re-simulates operators."""
+    the evaluation pipeline re-simulates operators.  Fast and reference
+    rounds alternate, so a host slowdown partway through the measurement
+    slows both sides rather than skewing the ratio."""
     lines = [f"simulate_kernel fast vs reference "
-             f"(sample_blocks={SAMPLE_BLOCKS}, best of 3, warm):",
+             f"(sample_blocks={SAMPLE_BLOCKS}, best of 3 alternating, warm):",
              f"  {'family':<14}{'reference ms':>14}{'fast ms':>10}"
              f"{'speedup':>9}{'floor':>7}"]
     failures = []
@@ -107,8 +114,8 @@ def test_simulator_speedup():
         run_ref = lambda: simulate_kernel(  # noqa: E731
             mapped, sample_blocks=SAMPLE_BLOCKS, sim="reference")
         run_fast()  # warm the per-kernel signature caches
-        fast_s, fast_profile = _best_of(run_fast)
-        ref_s, ref_profile = _best_of(run_ref)
+        (fast_s, fast_profile), (ref_s, ref_profile) = \
+            _best_of_alternating([run_fast, run_ref])
         assert fast_profile.counters() == ref_profile.counters()
         speedup = ref_s / fast_s if fast_s else float("inf")
         lines.append(f"  {family:<14}{ref_s * 1e3:>14.1f}"

@@ -83,10 +83,6 @@ TRACE_FORMATS = ("flat", "chrome")
 
 # -- observability export -----------------------------------------------------
 
-# Backwards-compatible alias: the temp-file + ``os.replace`` writer moved to
-# :mod:`repro.obs.export` so the trace exporter and the run store share it.
-_write_json_atomic = atomic_write_json
-
 
 def _metrics_payload(merged: dict) -> dict:
     """The ``--metrics`` JSON document: the merged snapshot minus the bulky
@@ -110,12 +106,12 @@ def _export_observability(args, metric_payloads: list) -> None:
     merged = context.as_dict()
     if trace_path:
         if getattr(args, "trace_format", "flat") == "chrome":
-            _write_json_atomic(trace_path, context.chrome_trace())
+            atomic_write_json(trace_path, context.chrome_trace())
         else:
-            _write_json_atomic(trace_path, merged.get("events", []))
+            atomic_write_json(trace_path, merged.get("events", []))
         logger.info("trace written to %s", trace_path)
     if metrics_path:
-        _write_json_atomic(metrics_path, _metrics_payload(merged))
+        atomic_write_json(metrics_path, _metrics_payload(merged))
         logger.info("metrics written to %s", metrics_path)
 
 
@@ -255,8 +251,8 @@ def _cmd_table1(args) -> int:
         gauges = {f"table1.{spec.name}.total_operators": spec.total_operators
                   for spec in NETWORKS.values()}
         gauges["table1.networks"] = len(NETWORKS)
-        _write_json_atomic(args.metrics, {"counters": {}, "gauges": gauges,
-                                          "histograms": {}})
+        atomic_write_json(args.metrics, {"counters": {}, "gauges": gauges,
+                                         "histograms": {}})
         logger.info("metrics written to %s", args.metrics)
     return 0
 
@@ -746,7 +742,7 @@ def _cmd_verify(args) -> int:
         report = run_verify(config)
     print(report.render())
     if args.metrics:
-        _write_json_atomic(args.metrics, obs.metrics.as_dict())
+        atomic_write_json(args.metrics, obs.metrics.as_dict())
         logger.info("metrics written to %s", args.metrics)
     return 0 if report.ok else 1
 
@@ -762,7 +758,7 @@ def _cmd_fuzz(args) -> int:
             write_corpus=not args.no_corpus)
     print(report.render())
     if args.metrics:
-        _write_json_atomic(args.metrics, obs.metrics.as_dict())
+        atomic_write_json(args.metrics, obs.metrics.as_dict())
         logger.info("metrics written to %s", args.metrics)
     if report.failures:
         logger.error("%d failing case(s); reproducers %s", len(report.failures),

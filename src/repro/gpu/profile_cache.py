@@ -5,20 +5,19 @@ Structurally identical mapped kernels are simulated again and again: the
 fire, the ``tvm`` variant's single-statement clusters reproduce the whole
 kernel for unfused operators, degradation rungs re-lower to the baseline
 mapping, and the differential oracle re-measures every launch the variant
-loop already measured.  This cache is the same content-hash trick as
-:mod:`repro.solver.dedup`, applied to :func:`repro.gpu.simulate_kernel`:
-the key is the mapped kernel's *content* — the kernel IR signature (names
-erased), the rendered loop AST, the launch geometry — plus the
-architecture and the sampling width, so renamed-but-identical launches
-hit.
+loop already measured.  This cache replays
+:func:`repro.gpu.simulate_kernel` by content: the key is the mapped
+kernel's *content* — the kernel IR signature (names erased), the rendered
+loop AST, the launch geometry — plus the architecture and the sampling
+width, so renamed-but-identical launches hit.
 
-The cache is ambient, mirroring ``solver/dedup.py``: the evaluation
+The cache is ambient, mirroring :mod:`repro.obs.runtime`: the evaluation
 runner installs one per *operator evaluation* (all four variants of one
 operator share it), and ``simulate_kernel`` consults it via
 :func:`get_profile_cache`.  The scope is never wider than one operator:
 each operator is evaluated wholly inside one process in both serial and
 parallel evaluation, so the ``sim.profile_cache.*`` metric streams stay
-identical between the two — the same discipline as the warm-start pool.
+identical between the two.
 
 A replayed profile is bitwise-identical to simulating by construction —
 the simulator is a deterministic pure function of the key's content.

@@ -200,15 +200,12 @@ def format_pass_summary(metrics: dict) -> str:
         rate = hits / (hits + misses) * 100.0
         lines.append(f"  schedule cache: {hits} hits / {misses} misses "
                      f"({rate:.1f}% hit rate)")
-    for label, prefix in (("solver warm-start", "solver.warmstart"),
-                          ("solver dedup", "solver.dedup"),
-                          ("profile cache", "sim.profile_cache")):
-        reuse_hits = int(counters.get(f"{prefix}.hits", 0))
-        reuse_misses = int(counters.get(f"{prefix}.misses", 0))
-        if reuse_hits or reuse_misses:
-            reuse_rate = reuse_hits / (reuse_hits + reuse_misses) * 100.0
-            lines.append(f"  {label}: {reuse_hits} hits / "
-                         f"{reuse_misses} misses ({reuse_rate:.1f}% hit rate)")
+    hits = int(counters.get("sim.profile_cache.hits", 0))
+    misses = int(counters.get("sim.profile_cache.misses", 0))
+    if hits or misses:
+        rate = hits / (hits + misses) * 100.0
+        lines.append(f"  profile cache: {hits} hits / {misses} misses "
+                     f"({rate:.1f}% hit rate)")
     scheduler = {name[len("scheduler."):]: int(amount)
                  for name, amount in sorted(counters.items())
                  if name.startswith("scheduler.") and amount}
@@ -222,11 +219,10 @@ def format_pass_summary(metrics: dict) -> str:
         rendered = ", ".join(f"{k}={v}" for k, v in fastpath.items())
         lines.append(f"  simulator fast path: {rendered}")
     histograms = metrics.get("histograms", {})
-    for hist_name in ("solver.solve_seconds", "solver.warmstart.reuse_seconds"):
-        hist = histograms.get(hist_name)
-        if hist:
-            lines.append(format_histogram_line(hist_name,
-                                               Histogram.from_dict(hist)))
+    hist = histograms.get("solver.solve_seconds")
+    if hist:
+        lines.append(format_histogram_line("solver.solve_seconds",
+                                           Histogram.from_dict(hist)))
     return "\n".join(lines)
 
 

@@ -55,9 +55,6 @@ class DimensionProblem:
         self._declare_schedule_variables()
         self._u_vars: Optional[dict[str, LinExpr]] = None
         self._w_var: Optional[LinExpr] = None
-        #: Full assignment of the most recent successful :meth:`solve` (for
-        #: warm-start handles); ``None`` until solved or when infeasible.
-        self.last_assignment: Optional[dict] = None
 
     def fork(self) -> "DimensionProblem":
         """Independent copy sharing the constraints built so far.
@@ -77,13 +74,7 @@ class DimensionProblem:
         copy._farkas_counter = self._farkas_counter
         copy._u_vars = self._u_vars
         copy._w_var = self._w_var
-        copy.last_assignment = None
         return copy
-
-    @property
-    def last_basis(self):
-        """Final simplex basis of the most recent solve (opaque)."""
-        return self.problem.last_basis
 
     # -- variables -----------------------------------------------------------
 
@@ -255,7 +246,7 @@ class DimensionProblem:
     def solve(self, extra_objectives: Sequence[LinExpr] = (),
               injected_objectives: Sequence[LinExpr] = (),
               max_nodes: int = 60_000,
-              warm=None, backend=None) -> Optional[dict[str, list[int]]]:
+              backend=None) -> Optional[dict[str, list[int]]]:
         """Solve the dimension ILP; returns per-statement coefficient rows
         ``[iter_coeffs..., param_coeffs..., const]`` or None.
 
@@ -266,9 +257,7 @@ class DimensionProblem:
         variables are bounded (they are, by construction), so one
         branch-and-bound run decides the dimension.
 
-        ``warm``/``backend`` are forwarded to ``Problem.solve`` — prior
-        solutions offered through a warm-start handle tighten the
-        branch-and-bound incumbent without changing the result.
+        ``backend`` is forwarded to ``Problem.solve``.
         """
         levels = self.objectives()
         if injected_objectives:
@@ -279,11 +268,10 @@ class DimensionProblem:
         if folded is not None:
             assignment = self.problem.solve(objective=folded,
                                             max_nodes=max_nodes,
-                                            warm=warm, backend=backend)
+                                            backend=backend)
         else:
             assignment = self.problem.lexmin(levels, max_nodes=max_nodes,
-                                             warm=warm, backend=backend)
-        self.last_assignment = assignment
+                                             backend=backend)
         if assignment is None:
             return None
         out: dict[str, list[int]] = {}

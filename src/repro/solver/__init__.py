@@ -17,10 +17,9 @@ library.  It provides:
 * :mod:`repro.solver.backend` — the :class:`SolverBackend` protocol plus a
   registry (``--solver`` / ``REPRO_SOLVER``); the rational simplex above is
   the default ``"simplex"`` backend.
-* :mod:`repro.solver.warmstart` — :class:`WarmStartHandle`, incumbent-bound
-  reuse of prior solutions that provably cannot change any result.
-* :mod:`repro.solver.dedup` — ambient content-keyed cache replaying solves
-  of structurally identical constraint systems.
+
+Like isl, every solve starts from scratch: no solution, basis or result is
+carried from one solve to the next.
 """
 
 from repro.solver.backend import (DEFAULT_BACKEND, NoWarmstartSimplexBackend,
@@ -28,12 +27,10 @@ from repro.solver.backend import (DEFAULT_BACKEND, NoWarmstartSimplexBackend,
                                   available_backends, register_backend,
                                   resolve_backend)
 from repro.solver.budget import SolveBudget, get_budget, use_budget
-from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
 from repro.solver.lp import LinearProgram, LPResult, LPStatus, solve_lp
 from repro.solver.ilp import BranchLimitExceeded, solve_ilp, integer_feasible
 from repro.solver.lexmin import lexicographic_minimize
 from repro.solver.problem import LinExpr, Constraint, Problem, var
-from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
 __all__ = [
     "LinearProgram",
@@ -58,9 +55,4 @@ __all__ = [
     "register_backend",
     "available_backends",
     "resolve_backend",
-    "WarmStartHandle",
-    "incumbent_bound",
-    "SolveCache",
-    "get_solve_cache",
-    "use_solve_cache",
 ]

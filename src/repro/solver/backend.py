@@ -13,11 +13,9 @@ Selection order for :func:`resolve_backend`:
 2. the ``REPRO_SOLVER`` environment variable,
 3. the default ``"simplex"``.
 
-Backends advertise ``incremental``: whether warm-start handles and the
-content-keyed solve cache may be used with them.  ``simplex-nowarm`` is the
-same rational simplex with all reuse disabled — CI runs the full test suite
-against both to prove warm-started results are bitwise-identical to cold
-ones.
+``simplex-nowarm`` is kept as an alias of the same rational simplex so
+existing ``--solver``/``REPRO_SOLVER`` settings keep resolving; every solve
+runs from scratch under either name.
 """
 
 from __future__ import annotations
@@ -39,23 +37,19 @@ class SolverBackend(Protocol):
     """Thin per-engine abstraction over the three solver entry points."""
 
     name: str
-    #: Whether warm-start handles and the ambient solve cache apply.
-    incremental: bool
 
     def solve_lp(self, lp: LinearProgram) -> LPResult:
         ...
 
     def solve_ilp(self, lp: LinearProgram,
                   integer_mask: Optional[Sequence[bool]] = None,
-                  max_nodes: int = 100_000,
-                  incumbent_bound: Optional[Fraction] = None) -> LPResult:
+                  max_nodes: int = 100_000) -> LPResult:
         ...
 
     def lexmin(self, lp: LinearProgram,
                objectives: Sequence[Sequence[Fraction]],
                integer_mask: Optional[Sequence[bool]] = None,
-               max_nodes: int = 100_000,
-               incumbent_bound: Optional[Fraction] = None) -> LPResult:
+               max_nodes: int = 100_000) -> LPResult:
         ...
 
 
@@ -63,53 +57,42 @@ class RationalSimplexBackend:
     """The default backend: exact two-phase simplex + branch and bound."""
 
     name = "simplex"
-    incremental = True
 
     def solve_lp(self, lp: LinearProgram) -> LPResult:
         return solve_lp(lp)
 
     def solve_ilp(self, lp: LinearProgram,
                   integer_mask: Optional[Sequence[bool]] = None,
-                  max_nodes: int = 100_000,
-                  incumbent_bound: Optional[Fraction] = None) -> LPResult:
-        return solve_ilp(lp, integer_mask=integer_mask, max_nodes=max_nodes,
-                         incumbent_bound=incumbent_bound)
-
-    def lexmin(self, lp: LinearProgram,
-               objectives: Sequence[Sequence[Fraction]],
-               integer_mask: Optional[Sequence[bool]] = None,
-               max_nodes: int = 100_000,
-               incumbent_bound: Optional[Fraction] = None) -> LPResult:
-        return lexicographic_minimize(lp, objectives,
-                                      integer_mask=integer_mask,
-                                      max_nodes=max_nodes,
-                                      incumbent_bound=incumbent_bound)
-
-
-class NoWarmstartSimplexBackend(RationalSimplexBackend):
-    """Same simplex, with every reuse path disabled.
-
-    ``incremental = False`` makes ``Problem.solve`` skip the solve cache and
-    warm-start candidates, and the incumbent bounds passed down here are
-    dropped.  Running tier-1 under ``REPRO_SOLVER=simplex-nowarm`` therefore
-    exercises the pure cold paths — any divergence from the default backend
-    is a reuse bug.
-    """
-
-    name = "simplex-nowarm"
-    incremental = False
-
-    def solve_ilp(self, lp: LinearProgram,
-                  integer_mask: Optional[Sequence[bool]] = None,
-                  max_nodes: int = 100_000,
-                  incumbent_bound: Optional[Fraction] = None) -> LPResult:
+                  max_nodes: int = 100_000) -> LPResult:
         return solve_ilp(lp, integer_mask=integer_mask, max_nodes=max_nodes)
 
     def lexmin(self, lp: LinearProgram,
                objectives: Sequence[Sequence[Fraction]],
                integer_mask: Optional[Sequence[bool]] = None,
-               max_nodes: int = 100_000,
-               incumbent_bound: Optional[Fraction] = None) -> LPResult:
+               max_nodes: int = 100_000) -> LPResult:
+        return lexicographic_minimize(lp, objectives,
+                                      integer_mask=integer_mask,
+                                      max_nodes=max_nodes)
+
+
+class NoWarmstartSimplexBackend(RationalSimplexBackend):
+    """The same simplex under its older ``simplex-nowarm`` name.
+
+    It defines its own ``solve_ilp``/``lexmin`` (rather than inheriting
+    them) so tools that wrap backend methods per class see its calls.
+    """
+
+    name = "simplex-nowarm"
+
+    def solve_ilp(self, lp: LinearProgram,
+                  integer_mask: Optional[Sequence[bool]] = None,
+                  max_nodes: int = 100_000) -> LPResult:
+        return solve_ilp(lp, integer_mask=integer_mask, max_nodes=max_nodes)
+
+    def lexmin(self, lp: LinearProgram,
+               objectives: Sequence[Sequence[Fraction]],
+               integer_mask: Optional[Sequence[bool]] = None,
+               max_nodes: int = 100_000) -> LPResult:
         return lexicographic_minimize(lp, objectives,
                                       integer_mask=integer_mask,
                                       max_nodes=max_nodes)

@@ -23,13 +23,8 @@ scheduler treats that single dimension as infeasible (backtracking
 ladder); exhausting a budget raises :class:`SolverTimeout` and aborts
 the whole attempt (degradation ladder in the pipeline).
 
-Interaction with solver reuse (``repro.solver.warmstart`` /
-``repro.solver.dedup``): warm-started solves still run the simplex and
-branch and bound, so every pivot and node they execute is charged as
-usual — a warm start simply leaves fewer of them to charge.  Replays
-from the content-keyed solve cache do no solver work at all and charge
-nothing, but they still call :meth:`ActiveBudget.check_deadline` so an
-expired deadline fires even on an all-hit attempt.
+Every solve runs the simplex and branch and bound from scratch, so each
+solve charges every pivot and node it executes.
 """
 
 from __future__ import annotations

@@ -21,10 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.linalg.rational import frac
 from repro.obs.runtime import get_obs
 from repro.solver.backend import SolverBackend, resolve_backend
-from repro.solver.budget import get_budget
-from repro.solver.dedup import get_solve_cache, is_miss
 from repro.solver.lp import LinearProgram, LPStatus
-from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
 Scalar = Union[int, Fraction, str]
 
@@ -214,12 +211,8 @@ class Problem:
         # Cached objective-independent part of ``lower_to_lp`` (constraint
         # matrix and bounds columns); invalidated by ``add_variable`` /
         # ``add_constraint``.  Solving the same problem under several
-        # objectives (lexmin levels, warm/cold comparisons) re-lowers for
-        # free.
+        # objectives (lexmin levels) re-lowers for free.
         self._lowered: Optional[tuple] = None
-        #: Final simplex basis of the most recent ``solve``/``lexmin`` (for
-        #: warm-start handles); ``None`` until solved or when unsolvable.
-        self.last_basis: Optional[list[int]] = None
 
     # -- declaration -----------------------------------------------------------
 
@@ -449,67 +442,17 @@ class Problem:
             assignment[name] = expr.evaluate(assignment)
         return assignment
 
-    # -- content keys (for the ambient solve cache) ------------------------------
-
-    def _expr_key(self, expr: Optional[LinExpr]) -> Optional[tuple]:
-        """Positional signature of an objective expression.
-
-        Fractions are flattened to ``(numerator, denominator)`` int pairs
-        throughout the key machinery: the representation is unique, and
-        hashing ints is far cheaper than ``Fraction.__hash__`` (which
-        computes a modular inverse per value).
-        """
-        if expr is None:
-            return None
-        index = self._index
-        return (tuple(sorted((index[n], c.numerator, c.denominator)
-                             for n, c in expr.coeffs.items())),
-                expr.const.numerator, expr.const.denominator)
-
-    def _content_key(self, kind: str, objective_key, max_nodes: int,
-                     backend_name: str) -> tuple:
-        """Name-erased content of the whole problem.
-
-        Variables appear only as column positions, so two problems that
-        differ in nothing but variable names (e.g. per-statement sub-kernels
-        of the ``tvm`` variant) share a key.  Constraint order and each
-        constraint's coefficient *insertion* order are preserved — presolve's
-        victim selection walks them in order, so order is part of the
-        content that determines the exact result.
-        """
-        index = self._index
-        constraints = tuple(
-            (c.sense,
-             tuple((index[n], v.numerator, v.denominator)
-                   for n, v in c.expr.coeffs.items()),
-             c.expr.const.numerator, c.expr.const.denominator)
-            for c in self._constraints)
-        lower, upper = self._lower, self._upper
-        declarations = tuple(
-            (None if lower[n] is None
-             else (lower[n].numerator, lower[n].denominator),
-             None if upper[n] is None
-             else (upper[n].numerator, upper[n].denominator),
-             self._integer[n])
-            for n in self._order)
-        return (kind, backend_name, max_nodes, declarations, constraints,
-                objective_key)
-
     # -- solving ----------------------------------------------------------------
 
     def solve(self, objective: Optional[LinExpr] = None,
               max_nodes: int = 100_000,
               presolve: bool = True,
-              warm: Optional[WarmStartHandle] = None,
               backend: Optional[SolverBackend] = None,
-              _incumbent_bound: Optional[Fraction] = None,
               ) -> Optional[dict[str, Fraction]]:
         """Minimize ``objective`` (feasibility check if None).
 
         Returns the assignment dict, or None if infeasible/unbounded.
-        ``warm`` offers prior solutions as incumbent bounds and ``backend``
-        overrides the registry default; both leave the result
-        bitwise-identical to a cold solve (see :mod:`repro.solver.warmstart`).
+        ``backend`` overrides the registry default.
         """
         if backend is None:
             backend = resolve_backend()
@@ -517,141 +460,56 @@ class Problem:
             # Public entry: the recursive presolve=False call below is part
             # of the same solve, so only this level feeds the histogram.
             started = time.perf_counter()
-            warm_hit = False
             try:
-                metrics = get_obs().metrics
-                cache = get_solve_cache() if backend.incremental else None
-                if cache is not None:
-                    key = self._content_key("solve", self._expr_key(objective),
-                                            max_nodes, backend.name)
-                    value = cache.lookup(key)
-                    if not is_miss(value):
-                        if metrics.enabled:
-                            metrics.count("solver.dedup.hits")
-                        budget = get_budget()
-                        if budget is not None:
-                            budget.check_deadline()
-                        self.last_basis = None
-                        if value is None:
-                            return None
-                        return dict(zip(self._order, value))
-                    if metrics.enabled:
-                        metrics.count("solver.dedup.misses")
                 protect = objective.variables() if objective is not None else set()
                 reduced, eliminated = self.presolved(protect=protect)
-                bound = None
-                if warm is not None and warm and backend.incremental:
-                    bound = incumbent_bound(reduced, objective, warm)
-                    warm_hit = bound is not None
-                    if metrics.enabled:
-                        metrics.count("solver.warmstart.hits" if warm_hit
-                                      else "solver.warmstart.misses")
                 sub = reduced.solve(objective, max_nodes=max_nodes,
-                                    presolve=False, backend=backend,
-                                    _incumbent_bound=bound)
-                self.last_basis = reduced.last_basis
-                result = None if sub is None else self._recover(sub, eliminated)
-                if cache is not None:
-                    cache.store(key, None if result is None
-                                else [result[n] for n in self._order])
-                return result
+                                    presolve=False, backend=backend)
+                return None if sub is None else self._recover(sub, eliminated)
             finally:
-                metrics = get_obs().metrics
-                if metrics.enabled:
-                    elapsed = time.perf_counter() - started
-                    metrics.observe("solver.solve_seconds", elapsed)
-                    if warm_hit:
-                        metrics.observe("solver.warmstart.reuse_seconds",
-                                        elapsed)
+                self._observe_solve(started)
         lp = self.lower_to_lp(objective)
         result = backend.solve_ilp(lp, integer_mask=self.integer_mask(),
-                                   max_nodes=max_nodes,
-                                   incumbent_bound=_incumbent_bound)
+                                   max_nodes=max_nodes)
         if result.status is not LPStatus.OPTIMAL:
-            self.last_basis = None
             return None
-        self.last_basis = result.basis
         return dict(zip(self._order, result.x))
 
     def lexmin(self, objectives: Sequence[LinExpr],
                max_nodes: int = 100_000,
                presolve: bool = True,
-               warm: Optional[WarmStartHandle] = None,
                backend: Optional[SolverBackend] = None,
-               _incumbent_bound: Optional[Fraction] = None,
                ) -> Optional[dict[str, Fraction]]:
-        """Lexicographically minimize the given objective expressions.
-
-        ``warm`` candidates seed the first level's incumbent bound; later
-        levels chain their own incumbents (see
-        :func:`repro.solver.lexmin.lexicographic_minimize`).
-        """
+        """Lexicographically minimize the given objective expressions."""
         if backend is None:
             backend = resolve_backend()
         if presolve:
             started = time.perf_counter()
-            warm_hit = False
             try:
-                metrics = get_obs().metrics
-                cache = get_solve_cache() if backend.incremental else None
-                if cache is not None:
-                    key = self._content_key(
-                        "lexmin",
-                        tuple(self._expr_key(obj) for obj in objectives),
-                        max_nodes, backend.name)
-                    value = cache.lookup(key)
-                    if not is_miss(value):
-                        if metrics.enabled:
-                            metrics.count("solver.dedup.hits")
-                        budget = get_budget()
-                        if budget is not None:
-                            budget.check_deadline()
-                        self.last_basis = None
-                        if value is None:
-                            return None
-                        return dict(zip(self._order, value))
-                    if metrics.enabled:
-                        metrics.count("solver.dedup.misses")
                 protect = set()
                 for obj in objectives:
                     protect |= obj.variables()
                 reduced, eliminated = self.presolved(protect=protect)
-                bound = None
-                if warm is not None and warm and backend.incremental \
-                        and objectives:
-                    bound = incumbent_bound(reduced, objectives[0], warm)
-                    warm_hit = bound is not None
-                    if metrics.enabled:
-                        metrics.count("solver.warmstart.hits" if warm_hit
-                                      else "solver.warmstart.misses")
                 sub = reduced.lexmin(objectives, max_nodes=max_nodes,
-                                     presolve=False, backend=backend,
-                                     _incumbent_bound=bound)
-                self.last_basis = reduced.last_basis
-                result = None if sub is None else self._recover(sub, eliminated)
-                if cache is not None:
-                    cache.store(key, None if result is None
-                                else [result[n] for n in self._order])
-                return result
+                                     presolve=False, backend=backend)
+                return None if sub is None else self._recover(sub, eliminated)
             finally:
-                metrics = get_obs().metrics
-                if metrics.enabled:
-                    elapsed = time.perf_counter() - started
-                    metrics.observe("solver.solve_seconds", elapsed)
-                    if warm_hit:
-                        metrics.observe("solver.warmstart.reuse_seconds",
-                                        elapsed)
+                self._observe_solve(started)
         lp = self.lower_to_lp()
         rows = [self._row(obj) for obj in objectives]
         result = backend.lexmin(lp, rows,
                                 integer_mask=self.integer_mask(),
-                                max_nodes=max_nodes,
-                                incumbent_bound=_incumbent_bound)
+                                max_nodes=max_nodes)
         if result.status is not LPStatus.OPTIMAL:
-            self.last_basis = None
             return None
-        self.last_basis = result.basis
         return dict(zip(self._order, result.x))
+
+    @staticmethod
+    def _observe_solve(started: float) -> None:
+        metrics = get_obs().metrics
+        if metrics.enabled:
+            metrics.observe("solver.solve_seconds",
+                            time.perf_counter() - started)
 
     def fold_objectives(self, objectives: Sequence[LinExpr]) -> Optional[LinExpr]:
         """Collapse a lexicographic objective list into one weighted

@@ -26,10 +26,61 @@ from repro.obs.runtime import Obs, use_obs
 from repro.solver import ilp as ilp_module
 from repro.solver.ilp import solve_ilp
 from repro.solver.lp import LinearProgram, solve_lp
-from repro.solver.problem import Constraint, LinExpr, Problem
+from repro.solver.problem import Constraint, LinExpr, Problem, var
 
 from tests import _reference_presolve, _reference_simplex
-from tests.test_warmstart_parity import farkas_like_problems
+
+
+def _coeff():
+    return st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def farkas_like_problems(draw):
+    """A random small ILP in the scheduler's shape.
+
+    Bounded integer unknowns (schedule coefficients), optional continuous
+    multipliers linked through equality constraints (what Farkas
+    linearization leaves before presolve), and a handful of inequality
+    constraints over the unknowns.
+    """
+    n_int = draw(st.integers(min_value=1, max_value=4))
+    n_cont = draw(st.integers(min_value=0, max_value=2))
+    problem = Problem()
+    ints = []
+    for i in range(n_int):
+        name = f"c{i}"
+        problem.add_variable(name, lower=0,
+                             upper=draw(st.integers(min_value=1, max_value=5)))
+        ints.append(name)
+    conts = []
+    for i in range(n_cont):
+        name = f"l{i}"
+        problem.add_variable(name, lower=0, integer=False)
+        conts.append(name)
+
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    for _ in range(n_rows):
+        coeffs = {n: Fraction(draw(_coeff())) for n in ints}
+        coeffs = {n: c for n, c in coeffs.items() if c}
+        if not coeffs:
+            continue
+        const = Fraction(draw(st.integers(min_value=-4, max_value=6)))
+        sense = draw(st.sampled_from([">=", "<="]))
+        problem.add_constraint(Constraint(LinExpr(coeffs, const), sense))
+    # Tie each multiplier to the integer unknowns with an equality, the way
+    # Farkas multipliers enter the system.
+    for name in conts:
+        coeffs = {n: Fraction(draw(_coeff())) for n in ints}
+        coeffs[name] = Fraction(-1)
+        const = Fraction(draw(st.integers(min_value=-2, max_value=2)))
+        problem.add_constraint(Constraint(LinExpr(coeffs, const), "=="))
+
+    objective = LinExpr({n: Fraction(draw(st.integers(min_value=0, max_value=3)))
+                         for n in ints})
+    if not objective.coeffs:
+        objective = var(ints[0])
+    return problem, objective
 
 
 def _counted(solve, lp):
@@ -196,10 +247,9 @@ def test_presolve_matches_restart_loop_on_farkas_problems(case):
 def test_bert_suite_solver_counters_pinned(monkeypatch):
     """Six BERT operators under all four variants through one pipeline.
 
-    The constants were recorded with the ``Fraction`` tableau; an arithmetic
-    change that alters any pivot decision moves them.  The compile runs
-    cold — default backend, empty process-wide memos — as in a fresh
-    process, whatever ran before it.
+    An arithmetic change that alters any pivot decision moves the
+    constants.  The compile runs with empty process-wide memos, as in a
+    fresh process, whatever ran before it.
     """
     from collections import OrderedDict
 
@@ -225,8 +275,8 @@ def test_bert_suite_solver_counters_pinned(monkeypatch):
     assert {name: counters.get(name)
             for name in ("solver.pivots", "solver.bb_nodes",
                          "solver.lp_solves", "scheduler.ilp_solves")} == {
-        "solver.pivots": 6810,
-        "solver.bb_nodes": 160,
-        "solver.lp_solves": 385,
+        "solver.pivots": 6932,
+        "solver.bb_nodes": 176,
+        "solver.lp_solves": 403,
         "scheduler.ilp_solves": 91,
     }
